@@ -1,3 +1,5 @@
+// The NetFlow v5 codec's tests. The codec lives in flowwire (v5.go); the
+// tests exercise it through the flowwire API under this package path.
 package netflow
 
 import (
@@ -9,11 +11,12 @@ import (
 	"testing/quick"
 
 	"netwide/internal/flow"
+	"netwide/internal/flowwire"
 	"netwide/internal/ipaddr"
 )
 
-func mkRecord(i int) Record {
-	return Record{
+func mkRecord(i int) flowwire.Flow {
+	return flowwire.Flow{
 		Key: flow.Key{
 			Src:     ipaddr.FromOctets(10, byte(i), 0, 1),
 			Dst:     ipaddr.FromOctets(10, 16, byte(i), 2),
@@ -32,16 +35,16 @@ func mkRecord(i int) Record {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	h := Header{SysUptime: 42, UnixSecs: 1050000000, FlowSequence: 7, EngineID: 3, SamplingInterval: 100}
-	recs := []Record{mkRecord(0), mkRecord(1), mkRecord(2)}
-	pkt, err := EncodePacket(h, recs)
+	h := flowwire.V5Header{SysUptime: 42, UnixSecs: 1050000000, FlowSequence: 7, EngineID: 3, SamplingInterval: 100}
+	recs := []flowwire.Flow{mkRecord(0), mkRecord(1), mkRecord(2)}
+	pkt, err := flowwire.EncodeV5Packet(h, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkt) != HeaderLen+3*RecordLen {
+	if len(pkt) != flowwire.V5HeaderLen+3*flowwire.V5RecordLen {
 		t.Fatalf("packet length %d", len(pkt))
 	}
-	h2, recs2, err := DecodePacket(pkt)
+	h2, recs2, err := flowwire.DecodeV5Packet(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,39 +59,39 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	pkt, _ := EncodePacket(Header{}, []Record{mkRecord(0)})
+	pkt, _ := flowwire.EncodeV5Packet(flowwire.V5Header{}, []flowwire.Flow{mkRecord(0)})
 
-	if _, _, err := DecodePacket(pkt[:10]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := flowwire.DecodeV5Packet(pkt[:10]); !errors.Is(err, flowwire.ErrTruncated) {
 		t.Fatalf("short header: %v", err)
 	}
-	if _, _, err := DecodePacket(pkt[:len(pkt)-1]); !errors.Is(err, ErrTruncated) {
+	if _, _, err := flowwire.DecodeV5Packet(pkt[:len(pkt)-1]); !errors.Is(err, flowwire.ErrTruncated) {
 		t.Fatalf("truncated record: %v", err)
 	}
 	long := append(append([]byte{}, pkt...), 0)
-	if _, _, err := DecodePacket(long); !errors.Is(err, ErrBadCount) {
+	if _, _, err := flowwire.DecodeV5Packet(long); !errors.Is(err, flowwire.ErrBadCount) {
 		t.Fatalf("overlong packet: %v", err)
 	}
 	bad := append([]byte{}, pkt...)
 	bad[0], bad[1] = 0, 9
-	if _, _, err := DecodePacket(bad); !errors.Is(err, ErrBadVersion) {
+	if _, _, err := flowwire.DecodeV5Packet(bad); !errors.Is(err, flowwire.ErrBadVersion) {
 		t.Fatalf("bad version: %v", err)
 	}
 }
 
 func TestEncodeLimits(t *testing.T) {
-	recs := make([]Record, MaxRecordsPerPacket+1)
-	if _, err := EncodePacket(Header{}, recs); err == nil {
+	recs := make([]flowwire.Flow, flowwire.V5MaxRecordsPerPacket+1)
+	if _, err := flowwire.EncodeV5Packet(flowwire.V5Header{}, recs); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 	big := mkRecord(0)
 	big.Bytes = 1 << 33
-	if _, err := EncodePacket(Header{}, []Record{big}); err == nil {
+	if _, err := flowwire.EncodeV5Packet(flowwire.V5Header{}, []flowwire.Flow{big}); err == nil {
 		t.Fatal("counter overflow accepted")
 	}
 }
 
 func TestExporterBatching(t *testing.T) {
-	e := NewExporter(1, 100, nil)
+	e := flowwire.NewV5Exporter(1, 100, nil)
 	for i := 0; i < 65; i++ {
 		if err := e.Add(mkRecord(i % 10)); err != nil {
 			t.Fatal(err)
@@ -102,8 +105,8 @@ func TestExporterBatching(t *testing.T) {
 	if len(pkts) != 3 {
 		t.Fatalf("packets=%d, want 3", len(pkts))
 	}
-	h0, r0, _ := DecodePacket(pkts[0])
-	h2, r2, _ := DecodePacket(pkts[2])
+	h0, r0, _ := flowwire.DecodeV5Packet(pkts[0])
+	h2, r2, _ := flowwire.DecodeV5Packet(pkts[2])
 	if len(r0) != 30 || len(r2) != 5 {
 		t.Fatalf("batch sizes %d/%d", len(r0), len(r2))
 	}
@@ -121,8 +124,8 @@ func TestExporterBatching(t *testing.T) {
 }
 
 func TestExporterResetReuse(t *testing.T) {
-	e := NewExporter(1, 100, nil)
-	c := NewCollector()
+	e := flowwire.NewV5Exporter(1, 100, nil)
+	c := flowwire.NewV5Collector()
 	// Two back-to-back uses of the same exporter/collector pair, as the
 	// per-cell measurement loop does: results must match fresh instances,
 	// and sequence state must not leak across Reset (no phantom loss).
@@ -170,7 +173,7 @@ func TestExporterResetReuse(t *testing.T) {
 }
 
 func TestDrainSurvivesReset(t *testing.T) {
-	e := NewExporter(3, 100, nil)
+	e := flowwire.NewV5Exporter(3, 100, nil)
 	want := mkRecord(4)
 	_ = e.Add(want)
 	_ = e.Flush()
@@ -185,7 +188,7 @@ func TestDrainSurvivesReset(t *testing.T) {
 		_ = e.Add(mkRecord(9))
 	}
 	_ = e.Flush()
-	_, recs, err := DecodePacket(pkts[0])
+	_, recs, err := flowwire.DecodeV5Packet(pkts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,33 +198,34 @@ func TestDrainSurvivesReset(t *testing.T) {
 }
 
 func TestAppendPacketSharesArena(t *testing.T) {
-	h := Header{EngineID: 2, SamplingInterval: 100}
-	arena, err := AppendPacket(nil, h, []Record{mkRecord(0), mkRecord(1)})
+	h := flowwire.V5Header{EngineID: 2, SamplingInterval: 100}
+	arena, err := flowwire.AppendV5Packet(nil, h, []flowwire.Flow{mkRecord(0), mkRecord(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := len(arena)
 	h.FlowSequence = 2
-	arena, err = AppendPacket(arena, h, []Record{mkRecord(2)})
+	arena, err = flowwire.AppendV5Packet(arena, h, []flowwire.Flow{mkRecord(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arena) != first+HeaderLen+RecordLen {
+	if len(arena) != first+flowwire.V5HeaderLen+flowwire.V5RecordLen {
 		t.Fatalf("arena length %d", len(arena))
 	}
-	// Both packets decode independently and identically to EncodePacket.
-	if _, recs, err := DecodePacket(arena[:first]); err != nil || len(recs) != 2 || recs[1] != mkRecord(1) {
+	// Both packets decode independently and identically to a standalone
+	// flowwire.EncodeV5Packet.
+	if _, recs, err := flowwire.DecodeV5Packet(arena[:first]); err != nil || len(recs) != 2 || recs[1] != mkRecord(1) {
 		t.Fatalf("first packet: %v %+v", err, recs)
 	}
 	h.FlowSequence = 2
-	single, _ := EncodePacket(h, []Record{mkRecord(2)})
+	single, _ := flowwire.EncodeV5Packet(h, []flowwire.Flow{mkRecord(2)})
 	if !bytes.Equal(arena[first:], single) {
 		t.Fatal("appended packet differs from standalone encoding")
 	}
 	// An encode error leaves the arena exactly as it was.
 	bad := mkRecord(0)
 	bad.Bytes = 1 << 33
-	out, err := AppendPacket(arena, h, []Record{bad})
+	out, err := flowwire.AppendV5Packet(arena, h, []flowwire.Flow{bad})
 	if err == nil {
 		t.Fatal("counter overflow accepted")
 	}
@@ -231,7 +235,7 @@ func TestAppendPacketSharesArena(t *testing.T) {
 }
 
 func TestCollectorCountsLoss(t *testing.T) {
-	e := NewExporter(7, 100, nil)
+	e := flowwire.NewV5Exporter(7, 100, nil)
 	for i := 0; i < 90; i++ {
 		_ = e.Add(mkRecord(i % 5))
 	}
@@ -240,7 +244,7 @@ func TestCollectorCountsLoss(t *testing.T) {
 	if len(pkts) != 3 {
 		t.Fatalf("packets=%d", len(pkts))
 	}
-	c := NewCollector()
+	c := flowwire.NewV5Collector()
 	// Drop the middle packet (30 records).
 	if err := c.Ingest(pkts[0]); err != nil {
 		t.Fatal(err)
@@ -257,15 +261,15 @@ func TestCollectorCountsLoss(t *testing.T) {
 }
 
 func TestCollectorPerEngineSequences(t *testing.T) {
-	e1 := NewExporter(1, 100, nil)
-	e2 := NewExporter(2, 100, nil)
+	e1 := flowwire.NewV5Exporter(1, 100, nil)
+	e2 := flowwire.NewV5Exporter(2, 100, nil)
 	for i := 0; i < 30; i++ {
 		_ = e1.Add(mkRecord(i % 3))
 	}
 	for i := 0; i < 30; i++ {
 		_ = e2.Add(mkRecord(i % 3))
 	}
-	c := NewCollector()
+	c := flowwire.NewV5Collector()
 	// Interleaving engines must not look like loss.
 	for _, p := range append(e1.Drain(), e2.Drain()...) {
 		if err := c.Ingest(p); err != nil {
@@ -278,10 +282,10 @@ func TestCollectorPerEngineSequences(t *testing.T) {
 }
 
 func TestClockInHeaders(t *testing.T) {
-	e := NewExporter(1, 100, func() (uint32, uint32) { return 777, 1071000000 })
+	e := flowwire.NewV5Exporter(1, 100, func() (uint32, uint32) { return 777, 1071000000 })
 	_ = e.Add(mkRecord(0))
 	_ = e.Flush()
-	h, _, err := DecodePacket(e.Drain()[0])
+	h, _, err := flowwire.DecodeV5Packet(e.Drain()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +298,10 @@ func TestClockInHeaders(t *testing.T) {
 func TestPropRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^0xdead))
-		n := rng.IntN(MaxRecordsPerPacket + 1)
-		recs := make([]Record, n)
+		n := rng.IntN(flowwire.V5MaxRecordsPerPacket + 1)
+		recs := make([]flowwire.Flow, n)
 		for i := range recs {
-			recs[i] = Record{
+			recs[i] = flowwire.Flow{
 				Key: flow.Key{
 					Src:     ipaddr.Addr(rng.Uint32()),
 					Dst:     ipaddr.Addr(rng.Uint32()),
@@ -316,12 +320,12 @@ func TestPropRoundTrip(t *testing.T) {
 				DstAS:      uint16(rng.UintN(65536)),
 			}
 		}
-		h := Header{SysUptime: rng.Uint32(), UnixSecs: rng.Uint32(), FlowSequence: rng.Uint32(), EngineID: uint8(rng.UintN(256)), SamplingInterval: uint16(rng.UintN(1 << 14))}
-		pkt, err := EncodePacket(h, recs)
+		h := flowwire.V5Header{SysUptime: rng.Uint32(), UnixSecs: rng.Uint32(), FlowSequence: rng.Uint32(), EngineID: uint8(rng.UintN(256)), SamplingInterval: uint16(rng.UintN(1 << 14))}
+		pkt, err := flowwire.EncodeV5Packet(h, recs)
 		if err != nil {
 			return false
 		}
-		h2, recs2, err := DecodePacket(pkt)
+		h2, recs2, err := flowwire.DecodeV5Packet(pkt)
 		if err != nil {
 			return false
 		}
@@ -334,7 +338,7 @@ func TestPropRoundTrip(t *testing.T) {
 			}
 		}
 		// Re-encoding must be byte-identical (lossless).
-		pkt2, err := EncodePacket(h2, recs2)
+		pkt2, err := flowwire.EncodeV5Packet(h2, recs2)
 		return err == nil && bytes.Equal(pkt, pkt2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -342,9 +346,9 @@ func TestPropRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: DecodePacket never panics and never fabricates records on
-// arbitrary input bytes — it either errors or returns exactly Count
-// records.
+// Property: flowwire.DecodeV5Packet never panics and never fabricates
+// records on arbitrary input bytes — it either errors or returns exactly
+// Count records.
 func TestPropDecodeRobust(t *testing.T) {
 	f := func(seed uint64, size uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 0xF00D))
@@ -352,32 +356,32 @@ func TestPropDecodeRobust(t *testing.T) {
 		for i := range buf {
 			buf[i] = byte(rng.UintN(256))
 		}
-		h, recs, err := DecodePacket(buf)
+		h, recs, err := flowwire.DecodeV5Packet(buf)
 		if err != nil {
 			return recs == nil
 		}
-		return len(recs) == int(h.Count) && len(buf) == HeaderLen+int(h.Count)*RecordLen
+		return len(recs) == int(h.Count) && len(buf) == flowwire.V5HeaderLen+int(h.Count)*flowwire.V5RecordLen
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: flipping the version field always yields ErrBadVersion, never
-// a successful parse.
+// Property: flipping the version field always yields
+// flowwire.ErrBadVersion, never a successful parse.
 func TestPropDecodeVersionStrict(t *testing.T) {
 	f := func(v uint16, seed uint64) bool {
-		if v == Version {
+		if v == flowwire.V5Version {
 			return true
 		}
-		pkt, err := EncodePacket(Header{FlowSequence: uint32(seed % 1000)}, []Record{mkRecord(int(seed % 7))})
+		pkt, err := flowwire.EncodeV5Packet(flowwire.V5Header{FlowSequence: uint32(seed % 1000)}, []flowwire.Flow{mkRecord(int(seed % 7))})
 		if err != nil {
 			return false
 		}
 		pkt[0] = byte(v >> 8)
 		pkt[1] = byte(v)
-		_, _, err = DecodePacket(pkt)
-		return errors.Is(err, ErrBadVersion)
+		_, _, err = flowwire.DecodeV5Packet(pkt)
+		return errors.Is(err, flowwire.ErrBadVersion)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -388,19 +392,19 @@ func TestPropDecodeVersionStrict(t *testing.T) {
 // more records than a v5 packet can carry is rejected before any record
 // allocation, even when the buffer length is padded to match the claim.
 func TestDecodeHostileCount(t *testing.T) {
-	pkt, _ := EncodePacket(Header{}, []Record{mkRecord(0)})
-	hostile := make([]byte, HeaderLen+(MaxRecordsPerPacket+1)*RecordLen)
-	copy(hostile, pkt[:HeaderLen])
-	binary.BigEndian.PutUint16(hostile[2:], MaxRecordsPerPacket+1)
-	if _, _, err := DecodePacket(hostile); !errors.Is(err, ErrBadCount) {
+	pkt, _ := flowwire.EncodeV5Packet(flowwire.V5Header{}, []flowwire.Flow{mkRecord(0)})
+	hostile := make([]byte, flowwire.V5HeaderLen+(flowwire.V5MaxRecordsPerPacket+1)*flowwire.V5RecordLen)
+	copy(hostile, pkt[:flowwire.V5HeaderLen])
+	binary.BigEndian.PutUint16(hostile[2:], flowwire.V5MaxRecordsPerPacket+1)
+	if _, _, err := flowwire.DecodeV5Packet(hostile); !errors.Is(err, flowwire.ErrBadCount) {
 		t.Fatalf("hostile count accepted: %v", err)
 	}
 	// The absurd case: a 64KB-record claim in a minimal datagram must fail on
 	// the count limit (not attempt a 3MB allocation and fail on length).
-	tiny := make([]byte, HeaderLen)
-	copy(tiny, pkt[:HeaderLen])
+	tiny := make([]byte, flowwire.V5HeaderLen)
+	copy(tiny, pkt[:flowwire.V5HeaderLen])
 	binary.BigEndian.PutUint16(tiny[2:], 0xFFFF)
-	if _, _, err := DecodePacket(tiny); !errors.Is(err, ErrBadCount) {
+	if _, _, err := flowwire.DecodeV5Packet(tiny); !errors.Is(err, flowwire.ErrBadCount) {
 		t.Fatalf("absurd count not rejected as bad count: %v", err)
 	}
 }
@@ -409,18 +413,18 @@ func TestDecodeHostileCount(t *testing.T) {
 // decoding into a reused slice appends exactly the packet's records and
 // leaves earlier contents intact.
 func TestDecodePacketAppendReuse(t *testing.T) {
-	pkt1, _ := EncodePacket(Header{FlowSequence: 0}, []Record{mkRecord(0), mkRecord(1)})
-	pkt2, _ := EncodePacket(Header{FlowSequence: 2}, []Record{mkRecord(2)})
-	var recs []Record
-	_, recs, err := DecodePacketAppend(recs, pkt1)
+	pkt1, _ := flowwire.EncodeV5Packet(flowwire.V5Header{FlowSequence: 0}, []flowwire.Flow{mkRecord(0), mkRecord(1)})
+	pkt2, _ := flowwire.EncodeV5Packet(flowwire.V5Header{FlowSequence: 2}, []flowwire.Flow{mkRecord(2)})
+	var recs []flowwire.Flow
+	_, recs, err := flowwire.DecodeV5PacketAppend(recs, pkt1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = DecodePacketAppend(recs, pkt2)
+	_, recs, err = flowwire.DecodeV5PacketAppend(recs, pkt2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Record{mkRecord(0), mkRecord(1), mkRecord(2)}
+	want := []flowwire.Flow{mkRecord(0), mkRecord(1), mkRecord(2)}
 	if len(recs) != len(want) {
 		t.Fatalf("appended %d records, want %d", len(recs), len(want))
 	}
@@ -431,12 +435,12 @@ func TestDecodePacketAppendReuse(t *testing.T) {
 	}
 	// Steady state: capacity suffices, so decoding must not allocate.
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, err := DecodePacketAppend(recs[:0], pkt1); err != nil {
+		if _, _, err := flowwire.DecodeV5PacketAppend(recs[:0], pkt1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("DecodePacketAppend allocates %v per packet at steady state", allocs)
+		t.Fatalf("flowwire.DecodeV5PacketAppend allocates %v per packet at steady state", allocs)
 	}
 }
 
@@ -445,33 +449,33 @@ func TestDecodePacketAppendReuse(t *testing.T) {
 // must re-encode to a packet that decodes to the identical header and
 // records (the fields the codec models round-trip losslessly).
 func FuzzDecodePacket(f *testing.F) {
-	valid, _ := EncodePacket(Header{SysUptime: 1, UnixSecs: 2, FlowSequence: 3, EngineID: 4, SamplingInterval: 100},
-		[]Record{mkRecord(0), mkRecord(1)})
+	valid, _ := flowwire.EncodeV5Packet(flowwire.V5Header{SysUptime: 1, UnixSecs: 2, FlowSequence: 3, EngineID: 4, SamplingInterval: 100},
+		[]flowwire.Flow{mkRecord(0), mkRecord(1)})
 	f.Add(valid)
-	f.Add(valid[:HeaderLen])
+	f.Add(valid[:flowwire.V5HeaderLen])
 	f.Add(valid[:len(valid)-1])
 	f.Add(append(append([]byte{}, valid...), 0xFF))
-	empty, _ := EncodePacket(Header{}, nil)
+	empty, _ := flowwire.EncodeV5Packet(flowwire.V5Header{}, nil)
 	f.Add(empty)
-	hostile := append([]byte{}, valid[:HeaderLen]...)
+	hostile := append([]byte{}, valid[:flowwire.V5HeaderLen]...)
 	binary.BigEndian.PutUint16(hostile[2:], 0xFFFF)
 	f.Add(hostile)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, recs, err := DecodePacket(data)
+		h, recs, err := flowwire.DecodeV5Packet(data)
 		if err != nil {
 			return
 		}
-		if len(recs) != int(h.Count) || h.Count > MaxRecordsPerPacket {
+		if len(recs) != int(h.Count) || h.Count > flowwire.V5MaxRecordsPerPacket {
 			t.Fatalf("accepted packet with %d records for count %d", len(recs), h.Count)
 		}
-		if len(data) != HeaderLen+int(h.Count)*RecordLen {
+		if len(data) != flowwire.V5HeaderLen+int(h.Count)*flowwire.V5RecordLen {
 			t.Fatalf("accepted %d-byte packet for count %d", len(data), h.Count)
 		}
-		out, err := EncodePacket(h, recs)
+		out, err := flowwire.EncodeV5Packet(h, recs)
 		if err != nil {
 			t.Fatalf("re-encode of accepted packet failed: %v", err)
 		}
-		h2, recs2, err := DecodePacket(out)
+		h2, recs2, err := flowwire.DecodeV5Packet(out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

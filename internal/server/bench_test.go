@@ -218,7 +218,7 @@ func benchIngestParallel(b *testing.B, receivers int) {
 // the Abilene reference scale over NetFlow v5 at 1, 2, 4 and 8 receivers,
 // always with 4 binning shards. The receivers=1 sub-benchmark doubles as
 // the sharded pipeline's serial baseline against BenchmarkServerIngest's
-// synchronous path.
+// inline engine.
 func BenchmarkServerIngestParallel(b *testing.B) {
 	for _, r := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("receivers=%d", r), func(b *testing.B) { benchIngestParallel(b, r) })

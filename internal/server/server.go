@@ -3,35 +3,32 @@
 // stood — between the routers exporting sampled flow telemetry and the
 // subspace detector consuming OD-aggregated timebins.
 //
-// The daemon runs one of two ingest paths around the same decode and
-// accumulation arithmetic:
+// Every datagram takes one path, the ingest engine in shard.go. A
+// receiver decodes it through its own flowwire.Registry — NetFlow v5,
+// NetFlow v9, IPFIX and sFlow v5, detected by version word, with hostile
+// bytes counted and dropped, never trusted — and routes the batch by
+// export engine to the shard worker owning that engine's partition of the
+// OD space. The worker deduplicates it by a per-(format, engine) sequence
+// cursor honoring each format's own sequence semantics
+// (flowwire.SequenceModel), applies the late, wild and stranded-watermark
+// gates, resolves each record to an origin-destination PoP pair exactly
+// as the offline pipeline does, and accumulates per-bin byte/packet/flow
+// vectors. A coordinator advances the watermark; when the reorder grace
+// window moves past a bin it seals every shard's slice of that bin,
+// merges the slices into the dense OD vector (exact: the partition is by
+// origin PoP, so each OD column is written by exactly one shard) and
+// submits it to the one central StreamDetector. Scoring stays central
+// because the subspace method is global: network-wide anomalies only
+// appear in the full OD matrix. See DESIGN.md E18.
 //
-//   - The synchronous path (Receivers and Shards both 1, the default): one
-//     UDP socket, one goroutine chain. Every datagram is decoded through a
-//     flowwire.Registry — NetFlow v5, NetFlow v9, IPFIX and sFlow v5,
-//     detected by version word, with hostile bytes counted and dropped,
-//     never trusted — deduplicated by a per-(format, engine) sequence
-//     cursor honoring each format's own sequence semantics
-//     (flowwire.SequenceModel), resolved to an origin-destination PoP pair
-//     exactly as the offline pipeline does it, and accumulated into
-//     per-bin byte/packet/flow vectors. When the reorder grace window
-//     moves past a bin, the bin closes and is submitted to a
-//     StreamDetector.
-//
-//   - The sharded pipeline (Receivers > 1 or Shards > 1): a pool of
-//     SO_REUSEPORT receiver sockets (single shared socket where the
-//     platform lacks the option), each with its own decoder registry and
-//     template cache, routing decoded batches by export engine to a set
-//     of shard workers that each own a disjoint partition of the OD
-//     space — bin accumulators, dedupe rings and sequence cursors stay
-//     shard-local, so no lock is shared across the hot path. A central
-//     coordinator advances the watermark, seals every shard's slice of a
-//     closing bin at a barrier, merges the per-shard vectors into the
-//     dense OD vector (exact: the partition is by origin PoP, so each OD
-//     column is written by exactly one shard) and submits it to the one
-//     central StreamDetector. Scoring stays central because the subspace
-//     method is global: network-wide anomalies only appear in the full OD
-//     matrix. See DESIGN.md E18.
+// With Receivers and Shards both 1 (the default) the engine runs inline:
+// the receiver, the shard worker and the coordinator step all run on the
+// goroutine that delivered the datagram, and no pipeline goroutine or
+// channel exists. Otherwise the daemon binds a pool of SO_REUSEPORT
+// receiver sockets (one shared socket where the platform lacks the
+// option) and runs each shard worker and the coordinator on its own
+// goroutine. Both schedules run the same code, so they bin the same
+// traffic the same way.
 //
 // Batch parity: every per-record sum the server computes is an integer
 // count below 2^53 folded into a float64, so the accumulated vectors are
@@ -39,7 +36,7 @@
 // replayed dataset therefore reproduces the generator's matrices bit for
 // bit, and the daemon's characterized anomalies match the batch
 // Characterize output on the same bins (the loopback end-to-end test pins
-// this for both paths).
+// this on both schedules).
 //
 // The HTTP side is deliberately small: healthz (liveness, 503 once the
 // detector has recorded an error), stats (ingest counters as JSON,
@@ -72,7 +69,6 @@ import (
 	"netwide/internal/flowwire"
 	"netwide/internal/routing"
 	"netwide/internal/topology"
-	"netwide/internal/traffic"
 )
 
 // Config tunes an ingest daemon. The zero value listens on an ephemeral
@@ -127,14 +123,16 @@ type Config struct {
 	// cache — exporters resend templates periodically, so every receiver
 	// converges on the set it needs).
 	Receivers int
-	// Shards sizes the binning tier (default 1). With Receivers or Shards
-	// above 1 the daemon runs the sharded pipeline: decoded batches are
+	// Shards sizes the binning tier (default 1): decoded batches are
 	// routed by export engine to Shards workers, each owning a disjoint
 	// hash-partition of the OD space with its own accumulators, dedupe
 	// rings and sequence cursors; a central coordinator seals, merges and
-	// submits closing bins to the single detector. The shard count is part
-	// of the checkpoint fingerprint — restarting with a different count
-	// cold-starts.
+	// submits closing bins to the single detector. With Receivers and
+	// Shards both 1 the engine runs inline on the receiving goroutine;
+	// with either above 1 the shard workers and the coordinator run on
+	// their own goroutines. The binning rules are the same either way. The
+	// shard count is part of the checkpoint fingerprint — restarting with
+	// a different count cold-starts.
 	Shards int
 	// CheckpointPath enables crash-safe operation: the daemon periodically
 	// snapshots its full recovery state (model generations, open events,
@@ -256,9 +254,9 @@ type Stats struct {
 	// updater, or a refit cadence) — absent on a static-model daemon, so
 	// that configuration's JSON surface stays byte-identical.
 	ModelFreshness []FreshnessStat `json:"model_freshness,omitempty"`
-	// Receivers and Shards break the ingest down across the sharded
-	// pipeline (absent on the synchronous path): per-receiver datagram
-	// counters and per-shard record counters with queue-depth gauges.
+	// Receivers and Shards break the ingest down across the pipeline
+	// (absent on an inline 1×1 daemon): per-receiver datagram counters
+	// and per-shard record counters with queue-depth gauges.
 	// MergeQueueLen is the seal-reply queue depth between the shards and
 	// the coordinator.
 	Receivers     []ReceiverStats `json:"receivers,omitempty"`
@@ -351,17 +349,16 @@ type ShardStats struct {
 }
 
 // counters is the daemon's hot counter block. Everything here is mutated
-// on the ingest path — by the one ingest goroutine on the synchronous
-// path, by receivers, shard workers and the coordinator concurrently on
-// the sharded one — and read lock-free by the /stats handler, so every
-// field is atomic. The watermark and lastClosed gauges have a single
-// writer (the ingest goroutine or the coordinator); the rest are add-only
-// except for the saturating loss refunds.
+// on the ingest path — by receivers, shard workers and the coordinator,
+// concurrently when pipelined — and read lock-free by the /stats handler,
+// so every field is atomic. The watermark and lastClosed gauges have a
+// single writer (the coordinator); the rest are add-only except for the
+// saturating loss refunds.
 type counters struct {
 	packets, badPackets, duplicates, records,
 	lostRecords, lateRecords, unroutable,
 	wildRecords, watermarkResets atomic.Uint64
-	binsClosed, binsOpen, watermark, lastClosed atomic.Int64
+	binsClosed, watermark, lastClosed atomic.Int64
 }
 
 // protoCounters is the internal mutable form of ProtoStats, held in a flat
@@ -428,13 +425,6 @@ type Server struct {
 	readersWG  sync.WaitGroup
 	consumerWG sync.WaitGroup
 
-	// ingestMu serializes the synchronous ingest path: the full
-	// IngestPacket body (including the out-of-mu detector submit), the
-	// drain flush, and checkpoint capture. It is always taken before mu
-	// and never by the verdict consumer or the HTTP handlers, so holding
-	// it across a detector submit cannot deadlock. Unused by the sharded
-	// pipeline, which serializes per shard instead.
-	ingestMu sync.Mutex
 	// binsSinceCp counts bins closed since the last snapshot — the
 	// bin-driven checkpoint cadence. Atomic because the coordinator
 	// increments it while the checkpointer goroutine resets it.
@@ -448,45 +438,30 @@ type Server struct {
 	// holds every anomaly emitted before its barrier.
 	ledgerCond *sync.Cond
 
-	// reg decodes every datagram on the synchronous path; it owns the
-	// v9/IPFIX template caches there, so it is ingestMu state. The sharded
-	// pipeline decodes on per-receiver registries instead (flowwire
-	// registries are not safe for concurrent use) and keeps this one only
-	// for the enabled-format fingerprint.
-	reg *flowwire.Registry
-	// recs is the synchronous path's reusable record buffer.
-	recs []flowwire.Record
-	// seq tracks one sequence cursor per (format, engine) export stream.
-	// The key space is attacker-influenced (v9/IPFIX source IDs are 32
-	// bits on the wire), so the map is capped at maxEngineCursors.
-	// Synchronous path only; shard workers own their own maps.
-	seq map[engineKey]*engineSeq
-	// bins holds the open accumulators (synchronous path only).
-	bins map[int]*binAcc
-	// behindStreak counts consecutive routable packets landing more than
-	// MaxAhead bins below the watermark — the stranded-watermark signal.
-	// Synchronous path only; shard workers count their own.
-	behindStreak int
-
 	ctr counters
 	// proto is the per-format counter array behind Stats.Protocols
 	// (index FormatUnknown stays zero; undetectable garbage only reaches
 	// the global BadPackets).
 	proto [flowwire.NumFormats]protoCounters
 
-	// Sharded pipeline state (empty on the synchronous path). See shard.go
-	// for the moving parts and DESIGN.md E18 for the architecture.
-	recvs     []*receiver
-	shards    []*shardWorker
+	// The ingest engine. See shard.go for the moving parts and DESIGN.md
+	// E18 for the architecture. inline (Receivers and Shards both 1) runs
+	// it on the ingest caller's goroutine; the channels and goroutine
+	// handles below stay nil then.
+	inline bool
+	recvs  []*receiver
+	shards []*shardWorker
+	coord  coordinator
+	// pauseMu is the ingest gate. Pipelined receivers hold its read side
+	// per datagram; the inline engine holds its write side per datagram,
+	// which serializes every caller into the one shard and coordinator. A
+	// checkpoint capture takes the write side to freeze ingest.
+	pauseMu   sync.RWMutex
 	mergeCh   chan sealReply
 	coordBell chan struct{}
 	coordCtl  chan coordMsg
 	coordDone chan struct{}
 	shardWG   sync.WaitGroup
-	// pauseMu freezes the receiver pool for a consistent sharded
-	// checkpoint capture: receivers hold the read side per datagram, the
-	// capture takes the write side.
-	pauseMu sync.RWMutex
 	// pendingObs is the highest bin any shard has accepted routable
 	// traffic for (CAS-max); the coordinator folds it into the watermark.
 	pendingObs atomic.Int64
@@ -494,8 +469,8 @@ type Server struct {
 	// to the coordinator.
 	resetReq atomic.Bool
 	resetBin atomic.Int64
-	// cpMu serializes sharded checkpoint captures against each other and
-	// against the drain teardown.
+	// cpMu serializes CheckpointNow captures against each other and
+	// against the drain teardown; it is always taken before pauseMu.
 	cpMu   sync.Mutex
 	cpBell chan struct{}
 	cpStop chan struct{}
@@ -522,20 +497,6 @@ type Server struct {
 	firstError  error
 }
 
-// sharded reports whether the daemon runs the receiver→shard→merge
-// pipeline (Receivers or Shards above 1) rather than the synchronous
-// single-goroutine path.
-func (s *Server) sharded() bool { return len(s.shards) > 0 }
-
-// numShards is the binning partition count (1 on the synchronous path) —
-// checkpoint fingerprint material.
-func (s *Server) numShards() int {
-	if len(s.shards) > 0 {
-		return len(s.shards)
-	}
-	return 1
-}
-
 // shardOf maps an export engine to its binning shard. The engine is the
 // origin PoP, and the OD index space is partitioned by origin, so routing
 // whole engines keeps every OD column (and every sequence cursor) owned
@@ -555,7 +516,7 @@ func (s *Server) shardOf(engine uint32) int {
 // matrices) and assembles the daemon around it. The run doubles as the
 // daemon's network model: its topology resolves engine IDs and destination
 // prefixes, its seasonal baselines classify the anomalies the detector
-// finds. No sockets are bound until Start, but the sharded pipeline's
+// finds. No sockets are bound until Start, but a pipelined daemon's
 // workers start here so tests and benchmarks can drive ingest without a
 // socket.
 // New also attempts crash recovery when cfg.CheckpointPath names an
@@ -577,27 +538,19 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: build resolver: %w", err)
 	}
-	reg, err := flowwire.NewRegistry(cfg.Formats...)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
 	s := &Server{
-		cfg:  cfg,
-		run:  run,
-		top:  ds.Top,
-		res:  res,
-		reg:  reg,
-		seq:  map[engineKey]*engineSeq{},
-		bins: map[int]*binAcc{},
+		cfg:    cfg,
+		run:    run,
+		top:    ds.Top,
+		res:    res,
+		inline: cfg.Receivers == 1 && cfg.Shards == 1,
 	}
 	s.ledgerCond = sync.NewCond(&s.mu)
 	s.ctr.watermark.Store(-1)
 	s.ctr.lastClosed.Store(-1)
 	s.lastCpBin = -1
-	if cfg.Receivers > 1 || cfg.Shards > 1 {
-		if err := s.buildPipeline(); err != nil {
-			return nil, err
-		}
+	if err := s.buildEngine(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 
 	if cfg.CheckpointPath != "" {
@@ -614,8 +567,6 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 			s.det = nil // discard any partially built detector
 			// Discard any template-cache state a partial restore left in
 			// the registries: a cold start must not trust checkpoint bytes.
-			s.reg, _ = flowwire.NewRegistry(cfg.Formats...)
-			s.seq = map[engineKey]*engineSeq{}
 			for _, r := range s.recvs {
 				r.reg, _ = flowwire.NewRegistry(cfg.Formats...)
 			}
@@ -628,9 +579,7 @@ func New(run *netwide.Run, cfg Config) (*Server, error) {
 		}
 		s.det = det
 	}
-	if s.sharded() {
-		s.startPipeline()
-	}
+	s.startEngine()
 	s.consumerWG.Add(1)
 	go s.consumeVerdicts()
 	return s, nil
@@ -681,10 +630,10 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 		return fmt.Errorf("snapshot epoch %d, daemon epoch %d", st.Epoch, s.cfg.Epoch)
 	case !slices.Equal(st.Formats, s.enabledFormats()):
 		return fmt.Errorf("snapshot formats %v, daemon enables %v", st.Formats, s.enabledFormats())
-	case st.Shards != s.numShards():
+	case st.Shards != len(s.shards):
 		// Open bins and cursors are partitioned by engine hash under the
 		// snapshot's shard count; a different layout cannot adopt them.
-		return fmt.Errorf("snapshot captured with %d shards, daemon runs %d", st.Shards, s.numShards())
+		return fmt.Errorf("snapshot captured with %d shards, daemon runs %d", st.Shards, len(s.shards))
 	case st.Updater != string(kind):
 		// Lane states embed lifecycle-specific payloads (refit windows vs
 		// tracker vectors); a daemon running the other lifecycle cannot
@@ -694,13 +643,13 @@ func (s *Server) fingerprint(st *checkpoint.State) error {
 	return nil
 }
 
-// enabledFormats lists the registry's enabled wire formats in wire-version
-// order — checkpoint fingerprint material, since engine cursors and
-// template caches only make sense under the same decoder set.
+// enabledFormats lists the receivers' enabled wire formats in
+// wire-version order — checkpoint fingerprint material, since engine
+// cursors and template caches only make sense under the same decoder set.
 func (s *Server) enabledFormats() []uint8 {
 	var out []uint8
 	for _, f := range flowwire.AllFormats() {
-		if s.reg.Enabled(f) {
+		if s.recvs[0].reg.Enabled(f) {
 			out = append(out, uint8(f))
 		}
 	}
@@ -711,8 +660,8 @@ func (s *Server) enabledFormats() []uint8 {
 // stored field is cross-validated before it is believed — the snapshot
 // passed the checksum, but shape and invariants are this layer's job (the
 // detector's own state validates inside RestoreStreamDetector). Any error
-// leaves the caller to cold-start. Runs before any pipeline goroutine
-// starts, so plain assignment into shard workers is safe.
+// leaves the caller to cold-start. Runs before the engine starts, so
+// plain assignment into shard workers is safe.
 func (s *Server) restore(st *checkpoint.State) error {
 	if err := s.fingerprint(st); err != nil {
 		return err
@@ -728,8 +677,8 @@ func (s *Server) restore(st *checkpoint.State) error {
 	} else if sv.LastClosed != -1 {
 		return fmt.Errorf("snapshot closed bins through %d but detector never started", sv.LastClosed)
 	}
-	if len(sv.Shards) != s.numShards() {
-		return fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), s.numShards())
+	if len(sv.Shards) != len(s.shards) {
+		return fmt.Errorf("snapshot holds %d shard states, daemon runs %d shards", len(sv.Shards), len(s.shards))
 	}
 	p := s.top.NumODPairs()
 	shBins := make([]map[int]*binAcc, len(sv.Shards))
@@ -773,10 +722,10 @@ func (s *Server) restore(st *checkpoint.State) error {
 		seq := make(map[engineKey]*engineSeq, len(ss.Engines))
 		for _, es := range ss.Engines {
 			f := flowwire.Format(es.Format)
-			if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !s.reg.Enabled(f) {
+			if f == flowwire.FormatUnknown || f >= flowwire.NumFormats || !s.recvs[0].reg.Enabled(f) {
 				return fmt.Errorf("snapshot engine cursor for unknown or disabled format %d", es.Format)
 			}
-			if len(sv.Shards) > 1 && s.shardOf(es.ID) != i {
+			if s.shardOf(es.ID) != i {
 				return fmt.Errorf("snapshot shard %d holds cursor for engine %d, which hashes to shard %d", i, es.ID, s.shardOf(es.ID))
 			}
 			key := engineKey{f, es.ID}
@@ -826,9 +775,6 @@ func (s *Server) restore(st *checkpoint.State) error {
 	// receiver gets the full set — the kernel may hash any engine's
 	// packets to any socket.
 	for f, snaps := range tmpl {
-		if err := s.reg.RestoreTemplates(f, snaps); err != nil {
-			return fmt.Errorf("snapshot template restore (%v): %w", f, err)
-		}
 		for _, r := range s.recvs {
 			if err := r.reg.RestoreTemplates(f, snaps); err != nil {
 				return fmt.Errorf("snapshot template restore (%v): %w", f, err)
@@ -841,20 +787,13 @@ func (s *Server) restore(st *checkpoint.State) error {
 		return err
 	}
 	s.det = det
-	if s.sharded() {
-		for i, w := range s.shards {
-			w.bins = shBins[i]
-			w.seq = shSeq[i]
-			w.sealedThrough = sv.Shards[i].SealedThrough
-			w.behindStreak = sv.Shards[i].BehindStreak
-			w.binsOpen.Store(int64(len(w.bins)))
-			w.sealed.Store(int64(w.sealedThrough))
-		}
-	} else {
-		s.bins = shBins[0]
-		s.seq = shSeq[0]
-		s.behindStreak = sv.Shards[0].BehindStreak
-		s.ctr.binsOpen.Store(int64(len(s.bins)))
+	for i, w := range s.shards {
+		w.bins = shBins[i]
+		w.seq = shSeq[i]
+		w.sealedThrough = sv.Shards[i].SealedThrough
+		w.behindStreak = sv.Shards[i].BehindStreak
+		w.binsOpen.Store(int64(len(w.bins)))
+		w.sealed.Store(int64(w.sealedThrough))
 	}
 	for f := flowwire.Format(1); f < flowwire.NumFormats; f++ {
 		pv := proto[f]
@@ -887,8 +826,7 @@ func (s *Server) restore(st *checkpoint.State) error {
 // persist takes one snapshot around the caller-supplied assembler: barrier
 // the detector, wait for the anomaly ledger to catch up to the barrier,
 // assemble the on-disk state (under mu; the caller guarantees the ingest
-// state it reads is frozen — ingestMu on the synchronous path, a paused
-// and quiesced pipeline on the sharded one), and atomically replace the
+// state it reads is frozen — see capture), and atomically replace the
 // snapshot file. Write failures (a full disk, an injected fault) are
 // counted and surfaced on /stats, never fatal: the daemon keeps
 // collecting, one snapshot staler.
@@ -922,7 +860,7 @@ func (s *Server) persist(assemble func(netwide.StreamCheckpoint) *checkpoint.Sta
 	return err
 }
 
-// baseState assembles the snapshot fields common to both ingest paths:
+// baseState assembles the snapshot fields outside the shard states:
 // fingerprint, counters, per-protocol breakdown and the anomaly ledger as
 // of the detector barrier. Callers hold mu (via persist).
 func (s *Server) baseState(cp netwide.StreamCheckpoint) *checkpoint.State {
@@ -937,7 +875,7 @@ func (s *Server) baseState(cp netwide.StreamCheckpoint) *checkpoint.State {
 		Alpha:     opts.Alpha,
 		Epoch:     s.cfg.Epoch,
 		Formats:   s.enabledFormats(),
-		Shards:    s.numShards(),
+		Shards:    len(s.shards),
 		Updater:   string(kind),
 		Stream:    cp,
 		Anomalies: append([]netwide.Anomaly(nil), s.anoms[:cp.Emitted]...),
@@ -964,13 +902,13 @@ func (s *Server) baseState(cp netwide.StreamCheckpoint) *checkpoint.State {
 	return st
 }
 
-// shardStateOf deep-copies one binning partition's in-flight state into
-// its checkpoint form: open bins sorted by bin, started engine cursors in
+// state deep-copies the worker's in-flight partition state into its
+// checkpoint form: open bins sorted by bin, started engine cursors in
 // (format, engine) order.
-func shardStateOf(bins map[int]*binAcc, seq map[engineKey]*engineSeq, sealedThrough, behindStreak int) checkpoint.ShardState {
-	sh := checkpoint.ShardState{SealedThrough: sealedThrough, BehindStreak: behindStreak}
-	sh.OpenBins = make([]checkpoint.OpenBin, 0, len(bins))
-	for bin, acc := range bins {
+func (w *shardWorker) state() checkpoint.ShardState {
+	sh := checkpoint.ShardState{SealedThrough: w.sealedThrough, BehindStreak: w.behindStreak}
+	sh.OpenBins = make([]checkpoint.OpenBin, 0, len(w.bins))
+	for bin, acc := range w.bins {
 		sh.OpenBins = append(sh.OpenBins, checkpoint.OpenBin{
 			Bin:     bin,
 			Records: acc.records,
@@ -980,8 +918,8 @@ func shardStateOf(bins map[int]*binAcc, seq map[engineKey]*engineSeq, sealedThro
 		})
 	}
 	sort.Slice(sh.OpenBins, func(i, j int) bool { return sh.OpenBins[i].Bin < sh.OpenBins[j].Bin })
-	keys := make([]engineKey, 0, len(seq))
-	for k, e := range seq {
+	keys := make([]engineKey, 0, len(w.seq))
+	for k, e := range w.seq {
 		if e.started {
 			keys = append(keys, k)
 		}
@@ -994,7 +932,7 @@ func shardStateOf(bins map[int]*binAcc, seq map[engineKey]*engineSeq, sealedThro
 		return keys[i].engine < keys[j].engine
 	})
 	for _, k := range keys {
-		e := seq[k]
+		e := w.seq[k]
 		// recent[:fill] is exactly the valid ring entries: the ring fills
 		// from slot 0 and pos only wraps once fill reaches the window.
 		sh.Engines = append(sh.Engines, checkpoint.EngineState{
@@ -1046,20 +984,6 @@ func templatesOf(regs ...*flowwire.Registry) []checkpoint.TemplateState {
 	return out
 }
 
-// checkpointSync takes one synchronous-path snapshot. Callers hold
-// ingestMu, which is what freezes the open bins, sequence cursors and
-// template cache the assembler reads.
-func (s *Server) checkpointSync() error {
-	return s.persist(func(cp netwide.StreamCheckpoint) *checkpoint.State {
-		st := s.baseState(cp)
-		st.Server.Shards = []checkpoint.ShardState{
-			shardStateOf(s.bins, s.seq, int(s.ctr.lastClosed.Load()), s.behindStreak),
-		}
-		st.Server.Templates = templatesOf(s.reg)
-		return st
-	})
-}
-
 // CheckpointNow takes a snapshot immediately, outside the bin-driven
 // cadence — the wall-clock timer's entry point, also callable by tests and
 // operators. It fails when checkpointing is disabled or a drain is in
@@ -1068,26 +992,17 @@ func (s *Server) CheckpointNow() error {
 	if s.cfg.CheckpointPath == "" {
 		return errors.New("server: checkpointing disabled (no CheckpointPath)")
 	}
-	if s.sharded() {
-		s.cpMu.Lock()
-		defer s.cpMu.Unlock()
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			return errors.New("server: draining; the drain writes the final checkpoint")
-		}
-		return s.captureSharded(false)
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	s.cpMu.Lock()
+	defer s.cpMu.Unlock()
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
 		return errors.New("server: draining; the drain writes the final checkpoint")
 	}
-	return s.checkpointSync()
+	s.pauseMu.Lock()
+	defer s.pauseMu.Unlock()
+	return s.capture()
 }
 
 // checkpointTimer snapshots every CheckpointInterval of wall-clock time —
@@ -1185,29 +1100,24 @@ func (s *Server) Start() error {
 		go s.checkpointTimer(s.cpTimerStop)
 	}
 	s.started = true
-	if s.sharded() {
-		for i, r := range s.recvs {
-			r.conn = s.conns[i%len(s.conns)]
-		}
-		s.readersWG.Add(len(s.recvs))
-		for _, r := range s.recvs {
-			go s.receiverLoop(r)
-		}
-	} else {
-		s.readersWG.Add(1)
-		go s.readLoop(s.conns[0])
+	for i, r := range s.recvs {
+		r.conn = s.conns[i%len(s.conns)]
+	}
+	s.readersWG.Add(len(s.recvs))
+	for _, r := range s.recvs {
+		go s.receiverLoop(r)
 	}
 	return nil
 }
 
-// bindSockets binds the receiver sockets: one plain socket on the
-// synchronous path or with a single receiver; Receivers SO_REUSEPORT
-// sockets on the same address when the platform supports the option (the
-// kernel then spreads datagrams across them by flow hash); one shared
-// socket drained by every receiver goroutine otherwise.
+// bindSockets binds the receiver sockets: one plain socket with a single
+// receiver; Receivers SO_REUSEPORT sockets on the same address when the
+// platform supports the option (the kernel then spreads datagrams across
+// them by flow hash); one shared socket drained by every receiver
+// goroutine otherwise.
 func (s *Server) bindSockets() error {
 	n := 1
-	if s.sharded() && reusePortSupported {
+	if reusePortSupported {
 		n = s.cfg.Receivers
 	}
 	if n <= 1 {
@@ -1273,130 +1183,15 @@ func (s *Server) HTTPAddr() net.Addr {
 	return s.httpLn.Addr()
 }
 
-// readLoop receives datagrams until the socket is closed by Drain. Every
-// supported format keeps its export packets under the common 1500-byte
-// MTU; the buffer leaves headroom so an overlong datagram arrives intact
-// and is rejected by the decoder instead of being silently truncated into
-// a "valid" prefix.
-func (s *Server) readLoop(conn *net.UDPConn) {
-	defer s.readersWG.Done()
-	buf := make([]byte, 4096)
-	for {
-		n, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			return // socket closed (Drain) or fatally broken
-		}
-		s.IngestPacket(buf[:n])
-	}
-}
-
-// IngestPacket runs the full per-datagram ingest path — decode, sequence
-// dedupe, OD resolution, bin accumulation, bin close, and the bin-driven
-// checkpoint cadence — synchronously on the caller's goroutine. The read
-// loop is its only caller in production; tests and benchmarks call it
-// directly to drive the daemon without a socket. ingestMu serializes
-// concurrent callers and excludes checkpoint capture mid-packet. On a
-// sharded daemon the packet enters the pipeline through receiver 0
-// instead, and the accumulation happens asynchronously.
+// IngestPacket runs one datagram through receiver 0 — the socket's own
+// path, for tests and benchmarks that drive the daemon without one. On an
+// inline daemon the datagram is decoded, binned, and every bin it closes
+// submitted (and checkpointed at the cadence) before IngestPacket
+// returns; concurrent callers serialize. On a pipelined daemon the
+// accumulation happens asynchronously on the shard workers, and the
+// caller must not share receiver 0 with a live socket reader.
 func (s *Server) IngestPacket(pkt []byte) {
-	if s.sharded() {
-		s.ingestOn(s.recvs[0], pkt)
-		return
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	b, recs, err := s.reg.Decode(pkt, s.recs[:0])
-	s.recs = recs
-	s.ctr.packets.Add(1)
-	// Decode attributes even failed packets to a format when the version
-	// word detected one; garbage that detects as nothing only reaches the
-	// global counters.
-	var pc *protoCounters
-	if b.Format != flowwire.FormatUnknown && b.Format < flowwire.NumFormats {
-		pc = &s.proto[b.Format]
-		pc.packets.Add(1)
-	}
-	if err != nil {
-		s.ctr.badPackets.Add(1)
-		if pc != nil {
-			pc.badPackets.Add(1)
-		}
-		return
-	}
-	if !s.sequenceCheck(s.seq, b) {
-		s.ctr.duplicates.Add(1)
-		pc.duplicates.Add(1)
-		return
-	}
-	if int64(b.UnixSecs) < int64(s.cfg.Epoch) {
-		// Before bin 0 — and integer division would truncate it INTO bin 0.
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	bin := int(int64(b.UnixSecs)-int64(s.cfg.Epoch)) / traffic.BinSeconds
-	if bin <= int(s.ctr.lastClosed.Load()) {
-		s.ctr.lateRecords.Add(uint64(len(recs)))
-		return
-	}
-	wm := int(s.ctr.watermark.Load())
-	if wm >= 0 && bin > wm+s.cfg.MaxAhead {
-		// The bin timestamp is untrusted input and it drives every bin
-		// close: refusing wild jumps keeps one spoofed datagram from
-		// force-closing partial bins and parking the watermark out of
-		// legitimate traffic's reach.
-		s.ctr.wildRecords.Add(uint64(len(recs)))
-		return
-	}
-	accepted, unroutable, wild := s.accumulateInto(s.bins, bin, b, recs)
-	if unroutable > 0 {
-		s.ctr.unroutable.Add(uint64(unroutable))
-	}
-	if wild > 0 {
-		s.ctr.wildRecords.Add(uint64(wild))
-	}
-	if accepted > 0 {
-		s.ctr.records.Add(uint64(accepted))
-		pc.records.Add(uint64(accepted))
-	}
-	s.ctr.binsOpen.Store(int64(len(s.bins)))
-	var closed []submittedBin
-	switch {
-	case accepted == 0:
-		// Only routable traffic moves the watermark: a datagram that
-		// contributed nothing to any bin gets no say in when bins close.
-	case bin > wm:
-		s.ctr.watermark.Store(int64(bin))
-		s.behindStreak = 0
-		closed = detachBins(s.bins, bin-s.cfg.Grace)
-	case wm-bin > s.cfg.MaxAhead:
-		// Routable traffic consistently far below the watermark means the
-		// watermark is stranded — a far-future first packet or an exporter
-		// clock jump (MaxAhead can't bound the first packet: there is
-		// nothing to bound it against). In normal operation this branch is
-		// unreachable: bins more than MaxAhead behind the watermark are
-		// already behind LastClosed and were dropped as late above. A
-		// quorum of consecutive packets re-anchors the watermark at the
-		// stream that is actually flowing, unwedging bin close.
-		s.behindStreak++
-		if s.behindStreak >= watermarkQuorum {
-			s.resetWatermarkSync(bin)
-		}
-	default:
-		s.behindStreak = 0
-	}
-	if len(closed) > 0 {
-		// detachBins returns ascending bins, all above the previous
-		// LastClosed (anything at or below was dropped late above).
-		s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-		s.ctr.binsClosed.Add(int64(len(closed)))
-		s.ctr.binsOpen.Store(int64(len(s.bins)))
-	}
-	s.submit(closed)
-	if s.cfg.CheckpointPath != "" && len(closed) > 0 {
-		if s.binsSinceCp.Add(int64(len(closed))) >= int64(s.cfg.CheckpointEvery) {
-			s.checkpointSync()
-		}
-	}
+	s.ingestOn(s.recvs[0], pkt)
 }
 
 const (
@@ -1439,9 +1234,9 @@ type engineKey struct {
 // reordering if it is within reorderTolerance (accepted, and the loss the
 // earlier gap charged for it is refunded); otherwise an exporter restart,
 // which resets the cursor. Batches without sequence information (SeqNone)
-// pass through untracked. The seq map is the caller's single-threaded
-// state (the synchronous path's map under ingestMu, or a shard worker's
-// own); the loss counters it touches are shared and atomic.
+// pass through untracked. The seq map is the calling shard worker's own
+// single-threaded state; the loss counters it touches are shared and
+// atomic.
 func (s *Server) sequenceCheck(seq map[engineKey]*engineSeq, b flowwire.Batch) bool {
 	if b.SeqModel == flowwire.SeqNone {
 		return true
@@ -1551,37 +1346,6 @@ func (s *Server) accumulateInto(bins map[int]*binAcc, bin int, b flowwire.Batch,
 	return accepted, unroutable, wild
 }
 
-// watermarkQuorum is how many consecutive routable packets must land more
-// than MaxAhead bins below the watermark before the daemon concludes the
-// watermark is stranded and re-anchors it.
-const watermarkQuorum = 8
-
-// resetWatermarkSync re-anchors a stranded watermark at the bin the live
-// stream actually flows in, discarding open bins stranded in the far
-// future (their contents were the lie that moved the watermark there).
-// Synchronous path; callers hold ingestMu.
-func (s *Server) resetWatermarkSync(bin int) {
-	if wild := discardWildBins(s.bins, bin+s.cfg.MaxAhead); wild > 0 {
-		s.ctr.wildRecords.Add(wild)
-	}
-	s.ctr.binsOpen.Store(int64(len(s.bins)))
-	s.ctr.watermark.Store(int64(bin))
-	s.ctr.watermarkResets.Add(1)
-	s.behindStreak = 0
-}
-
-// discardWildBins drops every open bin above keepThrough, returning the
-// record count they held.
-func discardWildBins(bins map[int]*binAcc, keepThrough int) (wild uint64) {
-	for b, acc := range bins {
-		if b > keepThrough {
-			wild += acc.records
-			delete(bins, b)
-		}
-	}
-	return wild
-}
-
 // engineSeq is one export stream's sequence cursor plus a small ring of
 // recently seen packet sequence numbers for duplicate detection.
 type engineSeq struct {
@@ -1639,8 +1403,8 @@ func detachBins(bins map[int]*binAcc, limit int) []submittedBin {
 
 // submit feeds detached bins to the detector in ascending order, recording
 // the first failure. Bins are only ever detached in ascending order across
-// calls (by the one ingest goroutine or the one coordinator), so the
-// detector's non-decreasing contract holds.
+// calls (by the one coordinator), so the detector's non-decreasing
+// contract holds.
 func (s *Server) submit(closed []submittedBin) {
 	for _, sb := range closed {
 		if err := s.det.Submit(sb.bin, sb.acc.bytes, sb.acc.packets, sb.acc.flows); err != nil {
@@ -1688,7 +1452,6 @@ func (s *Server) Stats() Stats {
 		WildRecords:     s.ctr.wildRecords.Load(),
 		WatermarkResets: s.ctr.watermarkResets.Load(),
 		BinsClosed:      int(s.ctr.binsClosed.Load()),
-		BinsOpen:        int(s.ctr.binsOpen.Load()),
 		Watermark:       int(s.ctr.watermark.Load()),
 		LastClosed:      int(s.ctr.lastClosed.Load()),
 	}
@@ -1709,7 +1472,12 @@ func (s *Server) Stats() Stats {
 			SeqUnit:    f.SequenceModel().Unit(),
 		}
 	}
-	if s.sharded() {
+	for _, w := range s.shards {
+		st.BinsOpen += int(w.binsOpen.Load())
+	}
+	// The per-receiver and per-shard breakdowns describe the pipeline; an
+	// inline daemon omits them, keeping its JSON surface unchanged.
+	if !s.inline {
 		st.Receivers = make([]ReceiverStats, len(s.recvs))
 		for i, r := range s.recvs {
 			st.Receivers[i] = ReceiverStats{
@@ -1719,23 +1487,19 @@ func (s *Server) Stats() Stats {
 			}
 		}
 		st.Shards = make([]ShardStats, len(s.shards))
-		open := 0
 		for i, w := range s.shards {
-			o := int(w.binsOpen.Load())
-			open += o
 			st.Shards[i] = ShardStats{
 				Records:       w.records.Load(),
 				Duplicates:    w.duplicates.Load(),
 				LateRecords:   w.lateRecords.Load(),
 				WildRecords:   w.wildRecords.Load(),
 				Unroutable:    w.unroutable.Load(),
-				BinsOpen:      o,
+				BinsOpen:      int(w.binsOpen.Load()),
 				SealedThrough: int(w.sealed.Load()),
 				QueueLen:      len(w.ch),
 				QueueCap:      cap(w.ch),
 			}
 		}
-		st.BinsOpen = open
 		st.MergeQueueLen = len(s.mergeCh)
 	}
 	s.mu.Lock()
@@ -1828,42 +1592,22 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.readersWG.Wait()
 
-	if s.sharded() {
-		// An in-flight bin-cadence capture may still hold cpMu; stop the
-		// checkpointer, then take cpMu for the whole teardown so nothing
-		// interleaves with the flush and the final snapshot.
-		if s.cpStop != nil {
-			close(s.cpStop)
-			s.cpWG.Wait()
-		}
-		s.cpMu.Lock()
-		s.syncShards() // receiver-enqueued batches all binned
-		s.coordFlush() // every bin through the watermark sealed, merged, submitted
-		if s.cfg.CheckpointPath != "" {
-			s.captureSharded(true)
-		}
-		s.stopCoordinator()
-		s.stopShards()
-		s.cpMu.Unlock()
-	} else {
-		// The read loop has exited and the socket is closed: no new bins
-		// can appear. Flush the tail, then persist the final snapshot — it
-		// carries every closed bin, so a restart after a clean drain
-		// resumes zero bins stale. ingestMu excludes a straggling direct
-		// IngestPacket caller.
-		s.ingestMu.Lock()
-		closed := detachBins(s.bins, int(s.ctr.watermark.Load()))
-		if len(closed) > 0 {
-			s.ctr.lastClosed.Store(int64(closed[len(closed)-1].bin))
-			s.ctr.binsClosed.Add(int64(len(closed)))
-			s.ctr.binsOpen.Store(int64(len(s.bins)))
-		}
-		s.submit(closed)
-		if s.cfg.CheckpointPath != "" {
-			s.checkpointSync()
-		}
-		s.ingestMu.Unlock()
+	// The receivers have exited: no new bins can appear. An in-flight
+	// bin-cadence capture may still hold cpMu; stop the checkpointer, then
+	// hold cpMu and the ingest gate for the whole teardown so neither a
+	// capture nor a straggling IngestPacket caller interleaves with the
+	// flush and the final snapshot. The snapshot carries every closed bin,
+	// so a restart after a clean drain resumes zero bins stale.
+	s.stopCheckpointer()
+	s.cpMu.Lock()
+	s.pauseMu.Lock()
+	s.flush()
+	if s.cfg.CheckpointPath != "" {
+		s.capture()
 	}
+	s.stopEngine()
+	s.pauseMu.Unlock()
+	s.cpMu.Unlock()
 
 	s.det.Close()
 	s.consumerWG.Wait() // verdict stream fully drained, tail folded in
@@ -1920,19 +1664,13 @@ func (s *Server) Kill() {
 	} else if ln != nil {
 		ln.Close()
 	}
-	if s.sharded() {
-		// Let an in-flight capture finish against a live pipeline, then
-		// tear the pipeline down with no flush — whatever the shards still
-		// held is lost, exactly like a crash.
-		if s.cpStop != nil {
-			close(s.cpStop)
-			s.cpWG.Wait()
-		}
-		s.cpMu.Lock()
-		s.stopCoordinator()
-		s.stopShards()
-		s.cpMu.Unlock()
-	}
+	// Let an in-flight capture finish against a live engine, then tear it
+	// down with no flush — whatever the shards still held is lost, exactly
+	// like a crash.
+	s.stopCheckpointer()
+	s.cpMu.Lock()
+	s.stopEngine()
+	s.cpMu.Unlock()
 	// Reap the detector goroutines so a killed daemon leaks nothing into
 	// the test process; the verdicts it delivers on the way down land in a
 	// ledger nobody will read again.

@@ -14,7 +14,6 @@ import (
 
 	"netwide"
 	"netwide/internal/flowwire"
-	"netwide/internal/netflow"
 	"netwide/internal/topology"
 	"netwide/internal/traffic"
 )
@@ -48,7 +47,7 @@ func anomalyKey(a netwide.Anomaly) string {
 }
 
 // TestLoopbackEndToEnd is the tentpole proof, once per wire format over
-// the sharded pipeline plus a synchronous-path control leg: a dataset
+// the sharded pipeline plus an inline-engine control leg: a dataset
 // replayed as live export traffic over UDP loopback — NetFlow v5, NetFlow
 // v9, IPFIX and sFlow v5 side by side, through 2 SO_REUSEPORT receivers
 // and 4 binning shards — ingested by the daemon, must drive the streaming
@@ -88,7 +87,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	}
 
 	// The four-format matrix runs the sharded pipeline; the plain leg pins
-	// the synchronous path against the same reference.
+	// the inline 1×1 engine against the same reference.
 	sharded := Config{
 		HTTPAddr:  "127.0.0.1:0",
 		Receivers: 2,
@@ -211,8 +210,8 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 		t.Errorf("protocol seq unit %q, want %q", ps.SeqUnit, want)
 	}
 	// On the sharded pipeline the per-receiver and per-shard breakdowns
-	// must jointly account for every packet and record; the synchronous
-	// path must not grow the new fields at all (the stats JSON is a
+	// must jointly account for every packet and record; the inline engine
+	// must not grow the new fields at all (the stats JSON is a
 	// compatibility surface).
 	if cfg.Receivers > 1 || cfg.Shards > 1 {
 		if len(st.Receivers) != cfg.Receivers || len(st.Shards) != cfg.Shards {
@@ -229,7 +228,7 @@ func loopbackLeg(t *testing.T, run *netwide.Run, bins int, batchKeys []string, f
 			t.Fatalf("per-receiver packets %d (want %d) / per-shard records %d (want %d)", rp, st.Packets, sr, st.Records)
 		}
 	} else if st.Receivers != nil || st.Shards != nil {
-		t.Fatalf("synchronous daemon leaked sharded stats: %+v", st)
+		t.Fatalf("inline daemon leaked sharded stats: %+v", st)
 	}
 
 	if !fullParity {
@@ -307,16 +306,16 @@ func TestAPIVersionAliases(t *testing.T) {
 // collectRecords regenerates resolved records from origin PoP 0 cells of
 // one bin until it has n of them — real, resolvable payloads for crafted
 // packets.
-func collectRecords(t *testing.T, run *netwide.Run, n int) []netflow.Record {
+func collectRecords(t *testing.T, run *netwide.Run, n int) []flowwire.Flow {
 	t.Helper()
 	ds := run.Dataset()
-	var recs []netflow.Record
+	var recs []flowwire.Flow
 	for i := 0; i < ds.Top.NumODPairs() && len(recs) < n; i++ {
 		od := ds.Top.ODAt(i)
 		if od.Origin != 0 {
 			continue
 		}
-		ds.ForEachResolvedRecord(od, 0, func(_ topology.ODPair, r netflow.Record) {
+		ds.ForEachResolvedRecord(od, 0, func(_ topology.ODPair, r flowwire.Flow) {
 			if len(recs) < n {
 				recs = append(recs, r)
 			}
@@ -330,9 +329,9 @@ func collectRecords(t *testing.T, run *netwide.Run, n int) []netflow.Record {
 
 // pkt encodes one v5 packet from engine 0 with the given sequence and bin
 // timestamp.
-func pkt(t *testing.T, seq uint32, bin int, recs []netflow.Record) []byte {
+func pkt(t *testing.T, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	t.Helper()
-	b, err := netflow.EncodePacket(netflow.Header{
+	b, err := flowwire.EncodeV5Packet(flowwire.V5Header{
 		UnixSecs:     uint32(bin) * traffic.BinSeconds,
 		FlowSequence: seq,
 		EngineID:     0,
@@ -343,64 +342,125 @@ func pkt(t *testing.T, seq uint32, bin int, recs []netflow.Record) []byte {
 	return b
 }
 
-// TestOutOfOrderAndDuplicates pins the transport-hardening semantics:
-// duplicate packets are dropped by sequence replay detection, bins arriving
-// out of time order within the grace window still land in their own bin,
-// late packets for closed bins are counted and discarded, and sequence gaps
-// are accounted as loss.
+// transports are the two schedules of the one ingest engine, which must
+// apply the same binning rules: the inline 1×1 daemon and a pipelined one.
+// Tests feed them through ingestSettled, which quiesces after every
+// datagram — the pipelined coordinator then acts on each datagram before
+// the next arrives, exactly as the inline engine does by construction, so
+// both legs must report the same counters.
+var transports = []struct {
+	name string
+	cfg  Config
+}{
+	{"inline", Config{}},
+	{"pipelined", Config{Receivers: 1, Shards: 2}},
+}
+
+// ingestSettled ingests each datagram and settles the engine after it.
+func ingestSettled(srv *Server, pkts ...[]byte) {
+	for _, p := range pkts {
+		srv.IngestPacket(p)
+		srv.quiesce()
+	}
+}
+
+// TestOutOfOrderAndDuplicates pins the transport-hardening semantics on
+// both transports: duplicate packets are dropped by sequence replay
+// detection, bins arriving out of time order within the grace window
+// still land in their own bin, late packets for sealed bins are counted
+// and discarded — including a straggler for a bin that was sealed while
+// empty — and sequence gaps are accounted as loss.
 func TestOutOfOrderAndDuplicates(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Grace: 3, Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := collectRecords(t, run, 10)
+	p1 := pkt(t, 0, 5, recs)
+	type want struct {
+		dups, records, late, lost                  uint64
+		closed, lastClosed, watermark, open, final int
+	}
+	inputs := []struct {
+		name  string
+		grace int
+		pkts  [][]byte
+		want  want
+	}{
+		{
+			name:  "reorder",
+			grace: 3,
+			pkts: [][]byte{
+				p1,                                     // bin 5, seq 0..9
+				p1,                                     // exact duplicate: must not double-count
+				pkt(t, 10, 4, recs),                    // bin 4, AFTER bin 5 — within grace
+				pkt(t, 20, 8, recs),                    // bin 8: watermark advances, closes bins <= 5
+				pkt(t, 30, 3, recs),                    // bin 3: now late (sealed)
+				pkt(t, 90, 8, recs),                    // seq gap: 50 records presumed lost
+				pkt(t, 40, 8, recs),                    // the reordered packet behind the gap: refund 10
+				pkt(t, 3_000_000_000, 8, recs),         // wild backward sequence: exporter restart, resync
+				pkt(t, 3_000_000_010+(1<<30), 8, recs), // wild FORWARD jump: restart too, not a phantom 2^30-record gap
+			},
+			// records: p1 + bin 4 + the five bin-8 packets; lost: the
+			// 50-record gap minus the reordered refund, restarts charge
+			// nothing; open: bin 8.
+			want: want{dups: 1, records: 70, late: 10, lost: 40, closed: 2, lastClosed: 5, watermark: 8, open: 1, final: 3},
+		},
+		{
+			// Bins 2-4 see no traffic, but bin 5's arrival seals through 4
+			// all the same: a record for bin 3 is late even though bin 3
+			// never opened.
+			name:  "empty-bin straggler",
+			grace: 1,
+			pkts: [][]byte{
+				pkt(t, 0, 0, recs),
+				pkt(t, 10, 1, recs),
+				pkt(t, 20, 5, recs),
+				pkt(t, 30, 3, recs),
+				pkt(t, 40, 6, recs),
+			},
+			want: want{records: 40, late: 10, closed: 3, lastClosed: 5, watermark: 6, open: 1, final: 4},
+		},
+	}
+	for _, in := range inputs {
+		for _, tr := range transports {
+			t.Run(in.name+"/"+tr.name, func(t *testing.T) {
+				cfg := tr.cfg
+				cfg.Grace = in.grace
+				cfg.Stream = parityStream(run)
+				srv, err := New(run, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ingestSettled(srv, in.pkts...)
+				w := in.want
+				st := srv.Stats()
+				if st.Duplicates != w.dups {
+					t.Errorf("duplicates %d, want %d", st.Duplicates, w.dups)
+				}
+				if st.Records != w.records {
+					t.Errorf("records %d, want %d", st.Records, w.records)
+				}
+				if st.LateRecords != w.late {
+					t.Errorf("late records %d, want %d", st.LateRecords, w.late)
+				}
+				if st.LostRecords != w.lost {
+					t.Errorf("lost records %d, want %d", st.LostRecords, w.lost)
+				}
+				if st.BinsClosed != w.closed || st.LastClosed != w.lastClosed || st.Watermark != w.watermark {
+					t.Errorf("bin state %+v, want %d closed through %d, watermark %d", st, w.closed, w.lastClosed, w.watermark)
+				}
+				if st.BinsOpen != w.open {
+					t.Errorf("open bins %d, want %d", st.BinsOpen, w.open)
+				}
 
-	p1 := pkt(t, 0, 5, recs)                     // bin 5, seq 0..9
-	p2 := pkt(t, 10, 4, recs)                    // bin 4, AFTER bin 5 — within grace
-	p3 := pkt(t, 20, 8, recs)                    // bin 8: watermark advances, closes bins <= 5
-	p4 := pkt(t, 30, 3, recs)                    // bin 3: now late (closed)
-	p5 := pkt(t, 90, 8, recs)                    // seq gap: 50 records presumed lost
-	p6 := pkt(t, 40, 8, recs)                    // the reordered packet behind the gap: refund 10
-	p7 := pkt(t, 3_000_000_000, 8, recs)         // wild backward sequence: exporter restart, resync
-	p8 := pkt(t, 3_000_000_010+(1<<30), 8, recs) // wild FORWARD jump: restart too, not a phantom 2^30-record gap
-	srv.IngestPacket(p1)
-	srv.IngestPacket(p1) // exact duplicate: must not double-count
-	srv.IngestPacket(p2)
-	srv.IngestPacket(p3)
-	srv.IngestPacket(p4)
-	srv.IngestPacket(p5)
-	srv.IngestPacket(p6)
-	srv.IngestPacket(p7)
-	srv.IngestPacket(p8)
-
-	st := srv.Stats()
-	if st.Duplicates != 1 {
-		t.Errorf("duplicates %d, want 1", st.Duplicates)
-	}
-	if want := uint64(70); st.Records != want { // p1 + p2 + p3 + p5 + p6 + p7 + p8
-		t.Errorf("records %d, want %d", st.Records, want)
-	}
-	if st.LateRecords != 10 {
-		t.Errorf("late records %d, want 10", st.LateRecords)
-	}
-	if st.LostRecords != 40 {
-		t.Errorf("lost records %d, want 40 (50-record gap minus the reordered refund; restarts charge nothing)", st.LostRecords)
-	}
-	if st.BinsClosed != 2 || st.LastClosed != 5 || st.Watermark != 8 {
-		t.Errorf("bin state %+v, want 2 closed through 5, watermark 8", st)
-	}
-	if st.BinsOpen != 1 {
-		t.Errorf("open bins %d, want 1 (bin 8)", st.BinsOpen)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if st := srv.Stats(); st.BinsClosed != 3 || st.BinsOpen != 0 {
-		t.Errorf("after drain: %d closed / %d open, want 3 / 0", st.BinsClosed, st.BinsOpen)
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := srv.Drain(ctx); err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+				if st := srv.Stats(); st.BinsClosed != w.final || st.BinsOpen != 0 {
+					t.Errorf("after drain: %d closed / %d open, want %d / 0", st.BinsClosed, st.BinsOpen, w.final)
+				}
+			})
+		}
 	}
 }
 
@@ -507,122 +567,144 @@ func TestConcurrentDrain(t *testing.T) {
 }
 
 // TestHostileDatagrams feeds the daemon the decoder's whole rogues'
-// gallery: every datagram must be counted and dropped without disturbing
-// ingest state, and records that decode but cannot be routed (unknown
-// engine, unresolvable destination) must be counted unroutable — untrusted
-// bytes never panic the daemon and never leak into the matrices.
+// gallery on both transports: every datagram must be counted and dropped
+// without disturbing ingest state, and records that decode but cannot be
+// routed (unknown engine, unresolvable destination) must be counted
+// unroutable — untrusted bytes never panic the daemon and never leak into
+// the matrices.
 func TestHostileDatagrams(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := collectRecords(t, run, 5)
 	good := pkt(t, 0, 0, recs)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := tr.cfg
+			cfg.Stream = parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	srv.IngestPacket(nil)                        // empty datagram
-	srv.IngestPacket([]byte{1, 2, 3})            // runt
-	srv.IngestPacket(good[:netflow.HeaderLen+7]) // truncated mid-record
-	badVersion := append([]byte(nil), good...)
-	badVersion[1] = 9
-	srv.IngestPacket(badVersion)
-	hostileCount := append([]byte(nil), good...)
-	hostileCount[2], hostileCount[3] = 0xFF, 0xFF
-	srv.IngestPacket(hostileCount)
-	srv.IngestPacket(bytes.Repeat([]byte{0xAB}, 2048)) // garbage
+			ingestSettled(srv, nil)                           // empty datagram
+			ingestSettled(srv, []byte{1, 2, 3})               // runt
+			ingestSettled(srv, good[:flowwire.V5HeaderLen+7]) // truncated mid-record
+			badVersion := append([]byte(nil), good...)
+			badVersion[1] = 9
+			ingestSettled(srv, badVersion)
+			hostileCount := append([]byte(nil), good...)
+			hostileCount[2], hostileCount[3] = 0xFF, 0xFF
+			ingestSettled(srv, hostileCount)
+			ingestSettled(srv, bytes.Repeat([]byte{0xAB}, 2048)) // garbage
 
-	st := srv.Stats()
-	if st.BadPackets != 6 {
-		t.Errorf("bad packets %d, want 6", st.BadPackets)
-	}
-	if st.Records != 0 || st.BinsOpen != 0 {
-		t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
-	}
+			st := srv.Stats()
+			if st.BadPackets != 6 {
+				t.Errorf("bad packets %d, want 6", st.BadPackets)
+			}
+			if st.Records != 0 || st.BinsOpen != 0 {
+				t.Errorf("hostile datagrams leaked into ingest state: %+v", st)
+			}
 
-	// A decodable packet from an engine the topology does not know.
-	unknownEngine, err := netflow.EncodePacket(netflow.Header{EngineID: 200, FlowSequence: 0}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.IngestPacket(unknownEngine)
-	if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
-		t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
-	}
+			// A decodable packet from an engine the topology does not know.
+			unknownEngine, err := flowwire.EncodeV5Packet(flowwire.V5Header{EngineID: 200, FlowSequence: 0}, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestSettled(srv, unknownEngine)
+			if st := srv.Stats(); st.Unroutable != uint64(len(recs)) {
+				t.Errorf("unroutable %d, want %d", st.Unroutable, len(recs))
+			}
 
-	// The daemon is still healthy and still ingests good traffic.
-	if srv.Err() != nil {
-		t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
-	}
-	srv.IngestPacket(good)
-	if st := srv.Stats(); st.Records != uint64(len(recs)) {
-		t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
-	}
+			// The daemon is still healthy and still ingests good traffic.
+			if srv.Err() != nil {
+				t.Fatalf("hostile datagrams broke the daemon: %v", srv.Err())
+			}
+			ingestSettled(srv, good)
+			if st := srv.Stats(); st.Records != uint64(len(recs)) {
+				t.Errorf("good packet after hostile burst: %d records, want %d", st.Records, len(recs))
+			}
 
-	// A spoofed far-future timestamp must neither move the watermark (it
-	// would force-close partial bins and stall every legitimate bin) nor
-	// open a bin; its records are refused as wild.
-	wild, err := netflow.EncodePacket(netflow.Header{
-		UnixSecs:     uint32(1000 * traffic.BinSeconds),
-		FlowSequence: uint32(len(recs)),
-	}, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.IngestPacket(wild)
-	st = srv.Stats()
-	if st.WildRecords != uint64(len(recs)) {
-		t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
-	}
-	if st.Watermark != 0 || st.BinsOpen != 1 {
-		t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
+			// A spoofed far-future timestamp must neither move the watermark
+			// (it would force-close partial bins and stall every legitimate
+			// bin) nor open a bin; its records are refused as wild.
+			wild, err := flowwire.EncodeV5Packet(flowwire.V5Header{
+				UnixSecs:     uint32(1000 * traffic.BinSeconds),
+				FlowSequence: uint32(len(recs)),
+			}, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestSettled(srv, wild)
+			st = srv.Stats()
+			if st.WildRecords != uint64(len(recs)) {
+				t.Errorf("wild records %d, want %d", st.WildRecords, len(recs))
+			}
+			if st.Watermark != 0 || st.BinsOpen != 1 {
+				t.Errorf("spoofed timestamp moved bin state: watermark %d, open %d", st.Watermark, st.BinsOpen)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestWatermarkRecovery pins the stranded-watermark self-heal: a
-// far-future FIRST packet (nothing exists to bound it against) parks the
-// watermark where no legitimate bin could ever close — until a quorum of
-// consecutive routable packets running far below it re-anchors the
-// watermark, discards the stranded bin as wild, and bin close resumes.
+// TestWatermarkRecovery pins the stranded-watermark self-heal on both
+// transports: a far-future FIRST packet (nothing exists to bound it
+// against) parks the watermark where no legitimate bin could ever close,
+// and seals every bin below it — until a quorum of consecutive routable
+// packets running far below it, yet above LastClosed, re-anchors the
+// watermark, discards the stranded bin as wild, reopens the empty sealed
+// bins, and bin close resumes.
 func TestWatermarkRecovery(t *testing.T) {
 	run := testRun(t)
-	srv, err := New(run, Config{Stream: parityStream(run)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	recs := collectRecords(t, run, 10)
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := tr.cfg
+			cfg.Stream = parityStream(run)
+			srv, err := New(run, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	srv.IngestPacket(pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
-	if st := srv.Stats(); st.Watermark != 1000 {
-		t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
-	}
-	// Legitimate traffic: bins 0,1,2,... — all far below the stranded
-	// watermark. After the quorum the watermark must snap back.
-	seq := uint32(10)
-	for bin := 0; bin < 12; bin++ {
-		srv.IngestPacket(pkt(t, seq, bin, recs))
-		seq += uint32(len(recs))
-	}
-	st := srv.Stats()
-	if st.WatermarkResets != 1 {
-		t.Fatalf("watermark resets %d, want 1 (stats: %+v)", st.WatermarkResets, st)
-	}
-	if st.Watermark >= 1000 {
-		t.Fatalf("watermark still stranded at %d", st.Watermark)
-	}
-	if st.WildRecords != uint64(len(recs)) {
-		t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
-	}
-	if st.BinsClosed == 0 {
-		t.Error("bin close never resumed after watermark recovery")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
+			ingestSettled(srv, pkt(t, 0, 1000, recs)) // hostile first packet: bin 1000
+			if st := srv.Stats(); st.Watermark != 1000 {
+				t.Fatalf("first packet set watermark %d, want 1000", st.Watermark)
+			}
+			// Legitimate traffic: bins 0,1,2,... — all far below the stranded
+			// watermark. After the quorum the watermark must snap back.
+			seq := uint32(10)
+			for bin := 0; bin < 12; bin++ {
+				ingestSettled(srv, pkt(t, seq, bin, recs))
+				seq += uint32(len(recs))
+			}
+			st := srv.Stats()
+			if st.WatermarkResets != 1 {
+				t.Fatalf("watermark resets %d, want 1 (stats: %+v)", st.WatermarkResets, st)
+			}
+			if st.Watermark >= 1000 {
+				t.Fatalf("watermark still stranded at %d", st.Watermark)
+			}
+			if st.WildRecords != uint64(len(recs)) {
+				t.Errorf("stranded bin's %d records not discarded as wild (got %d)", len(recs), st.WildRecords)
+			}
+			if st.BinsClosed == 0 {
+				t.Error("bin close never resumed after watermark recovery")
+			}
+			// The quorum's eight packets (bins 0-7) arrived while bins below
+			// 1000 were sealed, so they are late; the reset re-anchors at bin
+			// 7, and bins 8-11 flow: 8, 9 and 10 close behind the grace window.
+			if st.LateRecords != 8*uint64(len(recs)) || st.BinsClosed != 3 || st.LastClosed != 10 || st.Watermark != 11 {
+				t.Errorf("post-recovery state: late %d, closed %d through %d, watermark %d; want %d, 3 through 10, 11",
+					st.LateRecords, st.BinsClosed, st.LastClosed, st.Watermark, 8*len(recs))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

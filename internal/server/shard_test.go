@@ -14,15 +14,14 @@ import (
 
 	"netwide"
 	"netwide/internal/flowwire"
-	"netwide/internal/netflow"
 	"netwide/internal/traffic"
 )
 
 // enginePkt is pkt with a chosen export engine, for tests that need
 // traffic landing on specific shards.
-func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []netflow.Record) []byte {
+func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []flowwire.Flow) []byte {
 	t.Helper()
-	b, err := netflow.EncodePacket(netflow.Header{
+	b, err := flowwire.EncodeV5Packet(flowwire.V5Header{
 		UnixSecs:     uint32(bin) * traffic.BinSeconds,
 		FlowSequence: seq,
 		EngineID:     engine,
@@ -35,7 +34,7 @@ func enginePkt(t *testing.T, engine uint8, seq uint32, bin int, recs []netflow.R
 
 // TestStatsUnderIngestRace hammers the stats surface — the same assembly
 // the HTTP handler serves, plus its JSON encoding — while packets flow,
-// on both the synchronous path and the sharded pipeline. The assertions
+// on both the inline 1×1 engine and the sharded pipeline. The assertions
 // are minimal on purpose: the test exists for the -race CI leg, where any
 // unsynchronized counter read or shared-state access between receivers,
 // shards and the stats reader is the failure.
@@ -85,7 +84,7 @@ func TestStatsUnderIngestRace(t *testing.T) {
 					for i := 0; i < 300; i++ {
 						p := enginePkt(t, uint8(f), seq, i%4, recs)
 						seq += uint32(len(recs))
-						if srv.sharded() {
+						if !srv.inline {
 							// Each feeder owns one receiver: a receiver's
 							// decoder is single-reader state, exactly like
 							// its socket goroutine in production.
